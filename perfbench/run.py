@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout::
 
-    python3 perfbench/run.py --workload memory_d9 --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload memory_d9 --seed 1 --seconds 30 --trace 0
 
 The package, its compiled kernel included, is built from ``setup.py``
 into ``.bench_build/``.  The workload then runs in a child process
@@ -25,10 +25,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-from metrics import END_TO_END, PER_LAYER, UNATTRIBUTED_LIMIT, median, tail
+from metrics import (
+    END_TO_END,
+    PER_LAYER,
+    UNATTRIBUTED_LIMIT,
+    UNBOUNDED,
+    median,
+    tail,
+)
 
 HERE = Path(__file__).resolve().parent
-WORKLOADS = ("memory_d9", "stream_d9", "defect_response_d7")
+WORKLOADS = ("memory_d9", "stream_d9", "defect_response_d5")
 BUILD_DIR = ".bench_build"
 #: A workload process is stopped after this many seconds.
 WORKLOAD_TIMEOUT_S = 170
@@ -114,6 +121,11 @@ def end_to_end(raw: dict) -> tuple[dict[str, float], dict]:
         "op_tail_percentile": percentile,
         "op_tail_samples_beyond": beyond,
         "op_latency_samples": len(latencies),
+        "op_quantiles_ms": {
+            f"p{q}": sorted(latencies)[(len(latencies) - 1) * q // 100]
+            for q in (10, 25, 50, 75, 90)
+        },
+        "op_mean_ms": sum(latencies) / len(latencies),
     }
     return values, notes
 
@@ -165,6 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     print("info " + json.dumps(info))
     for name in catalogue:
         print(f"  {name:<28} {values[name]:>14.4f} {catalogue[name]}")
+    if not args.trace:
+        for name, unit in UNBOUNDED.items():
+            print(f"  {name:<28} {values[name]:>14.4f} {unit} (no bound)")
     if raw.get("unattributed_over_limit"):
         print(
             f"  WARNING: unattributed time is above "
