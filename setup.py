@@ -61,7 +61,7 @@ setup(
     # consume them from an installed copy too.
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy>=2.0", "scipy", "networkx"],
     ext_modules=[
         Extension(
             "repro.decode._cblossom",

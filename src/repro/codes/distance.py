@@ -8,7 +8,9 @@ Two independent algorithms:
   whenever every data qubit participates in at most two stabilizer
   generators of the detecting basis.  All codes produced by Surf-Deformer
   deformations satisfy this, because super-stabilizers absorb the merged
-  plaquettes.
+  plaquettes.  One ``scipy.sparse.csgraph`` unweighted shortest-path
+  call over the doubled graph in CSR form; the networkx formulation it
+  replaced is the test oracle in ``tests/deform_oracles.py``.
 
 Conventions: the **Z-distance** is the minimum weight of a Z-type logical
 operator; Z errors are detected by **X-type** stabilizers.  Symmetrically
@@ -17,10 +19,12 @@ for the X-distance.  The full code distance is ``min(dX, dZ)``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.codes.subsystem import SubsystemCode
 from repro.utils import gf2_independent_rows
@@ -74,110 +78,141 @@ def brute_force_distance(code: SubsystemCode, logical_basis: str) -> int:
     return best
 
 
-def detection_graph(code: SubsystemCode, logical_basis: str) -> nx.MultiGraph:
-    """Matching graph of detecting-basis stabilizers.
-
-    Vertices are the detecting-basis stabilizer generators plus a single
-    virtual ``"boundary"`` vertex.  Each data qubit becomes an edge joining
-    the generators whose support contains it (or the boundary when it is
-    contained in exactly one).  Edges carry:
-
-    * ``qubit`` — the data qubit label,
-    * ``crossing`` — 1 when the qubit lies in the support of the tracked
-      opposite-basis logical operator (used to tell logical cycles from
-      stabilizer-product cycles).
-    """
-    det_basis = _DETECTING_BASIS[logical_basis]
-    opposite_logical = code.logical_x if logical_basis == "Z" else code.logical_z
-    cross_support = (
-        opposite_logical.x_support if det_basis == "X" else opposite_logical.z_support
-    )
-
-    generators = [
-        (name, gen.pauli)
-        for name, gen in code.stabilizers.items()
-        if gen.basis == det_basis
-    ]
-    graph = nx.MultiGraph()
-    graph.add_node("boundary")
-    for name, _ in generators:
-        graph.add_node(name)
-
-    incidence: dict = {q: [] for q in code.data_qubits}
-    for name, pauli in generators:
-        support = pauli.x_support if det_basis == "X" else pauli.z_support
-        for q in support:
-            if q in incidence:
-                incidence[q].append(name)
-
-    for q, names in incidence.items():
-        crossing = 1 if q in cross_support else 0
-        if len(names) == 2:
-            graph.add_edge(names[0], names[1], qubit=q, crossing=crossing)
-        elif len(names) == 1:
-            graph.add_edge(names[0], "boundary", qubit=q, crossing=crossing)
-        elif len(names) == 0:
-            # Gauge qubit: no detecting stabilizer touches it, so errors on
-            # it are pure gauge and never affect the logical.  The tracked
-            # logical representative must have been rerouted off such
-            # qubits by the deformation layer.
-            if crossing:
-                raise ValueError(
-                    "logical representative passes through undetected "
-                    f"qubit {q}; reroute the logical before computing "
-                    "distance"
-                )
-        else:
-            raise ValueError(
-                f"qubit {q} is in {len(names)} {det_basis}-stabilizers; "
-                "the matching-graph distance requires <= 2 "
-                "(non-graphlike code)"
-            )
-    return graph
-
-
 def graph_distance(code: SubsystemCode, logical_basis: str) -> int:
     """Dressed distance via minimum-weight odd ``crossing`` cycle.
+
+    The detection graph has one vertex per detecting-basis stabilizer
+    generator plus a single ``boundary`` vertex.  Each data qubit is an
+    edge joining the generators whose support contains it (or the
+    boundary when exactly one does); it is a ``crossing`` edge when the
+    qubit lies in the support of the tracked opposite-basis logical.
 
     A ``logical_basis`` error chain is undetectable iff the corresponding
     edge set has even degree at every real vertex (boundary degree is
     unconstrained).  Such a chain is a logical operator iff it
     anticommutes with the opposite logical, i.e. its total ``crossing``
     label is odd.  The minimum-weight odd cycle is found in the standard
-    doubled graph: layer changes on crossing edges, shortest path from
-    ``(v, 0)`` to ``(v, 1)``.
+    doubled graph: vertex ``v`` on layer ``l`` becomes ``v + l * V``,
+    crossing edges change layer, and the answer is
+    ``min_v dist(v, v + V)`` from one unweighted (hop-count) csgraph
+    search over the doubled graph's CSR arrays.
 
-    Returns ``0`` for a code with no remaining logical (should not occur)
-    and raises when the code is non-graphlike.
+    Raises ``ValueError`` when the code is non-graphlike (a qubit in more
+    than two detecting generators), when the tracked logical passes
+    through a qubit no detecting generator touches, or when no logical
+    cycle exists.  The result is memoised on the code's content (see
+    :func:`_odd_cycle_distance`), so re-measuring an unchanged code is
+    free.
     """
-    graph = detection_graph(code, logical_basis)
+    det_basis = _DETECTING_BASIS[logical_basis]
+    opposite_logical = code.logical_x if logical_basis == "Z" else code.logical_z
+    crossing = (
+        opposite_logical.x_support if det_basis == "X" else opposite_logical.z_support
+    )
+    supports = tuple(
+        gen.pauli.x_support if det_basis == "X" else gen.pauli.z_support
+        for gen in code.stabilizers.values()
+        if gen.basis == det_basis
+    )
+    return _odd_cycle_distance(
+        logical_basis, supports, tuple(code.data_qubits), crossing
+    )
 
-    doubled = nx.Graph()
-    for u, v, data in graph.edges(data=True):
-        flip = data["crossing"]
-        for layer in (0, 1):
-            a = (u, layer)
-            b = (v, layer ^ flip)
-            w = 1
-            if doubled.has_edge(a, b):
-                continue  # parallel edges of equal weight are redundant
-            doubled.add_edge(a, b, weight=w)
 
-    best = np.inf
-    for node in graph.nodes:
-        source, target = (node, 0), (node, 1)
-        if source not in doubled or target not in doubled:
+# Bounded memo of recent codes: a removal pass's adopted candidate, the
+# distance the pass reports after it, and the first and last rounds of
+# adaptive enlargement all measure the same code.
+@lru_cache(maxsize=32)
+def _odd_cycle_distance(
+    logical_basis: str,
+    supports: tuple[frozenset, ...],
+    data_qubits: tuple,
+    crossing: frozenset,
+) -> int:
+    """:func:`graph_distance` of the detection graph given by its content.
+
+    ``supports`` are the detecting-basis generators' supports, and
+    ``data_qubits`` is in the code's iteration order, which fixes the
+    qubit named by a non-graphlike ``ValueError``.
+    """
+    det_basis = _DETECTING_BASIS[logical_basis]
+    incidence: dict = {q: [] for q in data_qubits}
+    for vertex, support in enumerate(supports, start=1):
+        for q in support:
+            touching = incidence.get(q)
+            if touching is not None:
+                touching.append(vertex)
+
+    # Vertex 0 is the boundary.
+    heads: list[int] = []
+    tails: list[int] = []
+    flips: list[int] = []
+    for q, touching in incidence.items():
+        flip = 1 if q in crossing else 0
+        if len(touching) == 2:
+            heads.append(touching[0])
+            tails.append(touching[1])
+        elif len(touching) == 1:
+            heads.append(touching[0])
+            tails.append(0)
+        elif not touching:
+            # Gauge qubit: no detecting stabilizer touches it, so errors on
+            # it are pure gauge and never affect the logical.  The tracked
+            # logical representative must have been rerouted off such
+            # qubits by the deformation layer.
+            if flip:
+                raise ValueError(
+                    "logical representative passes through undetected "
+                    f"qubit {q}; reroute the logical before computing "
+                    "distance"
+                )
             continue
-        try:
-            length = nx.shortest_path_length(
-                doubled, source, target, weight="weight"
+        else:
+            raise ValueError(
+                f"qubit {q} is in {len(touching)} {det_basis}-stabilizers; "
+                "the matching-graph distance requires <= 2 "
+                "(non-graphlike code)"
             )
-        except nx.NetworkXNoPath:
-            continue
-        best = min(best, length)
-    if np.isinf(best):
+        flips.append(flip)
+
+    # An odd cycle contains a crossing edge, and walking the minimum odd
+    # cycle from any of its vertices reaches that vertex's other layer,
+    # so the endpoints of crossing edges suffice as sources.
+    sources = sorted(
+        {v for h, t, f in zip(heads, tails, flips, strict=True) for v in (h, t) if f}
+    )
+    if not sources:
         raise ValueError(f"no {logical_basis} logical cycle found")
-    return int(best)
+    num = len(supports) + 1
+    dist = dijkstra(
+        _doubled_csr(num, heads, tails, flips), unweighted=True, indices=sources
+    )
+    cycle = dist[np.arange(len(sources)), np.asarray(sources) + num].min()
+    if np.isinf(cycle):
+        raise ValueError(f"no {logical_basis} logical cycle found")
+    return int(cycle)
+
+
+def _doubled_csr(
+    num: int, heads: list[int], tails: list[int], flips: list[int]
+) -> csr_matrix:
+    """Symmetric CSR adjacency of the doubled detection graph.
+
+    Edge ``(h, t, f)`` joins ``(h, l)`` to ``(t, l ^ f)`` on both layers
+    ``l``; parallel edges stay (they do not change hop counts).
+    """
+    h = np.asarray(heads, dtype=np.int32)
+    t = np.asarray(tails, dtype=np.int32)
+    f = np.asarray(flips, dtype=np.int32) * num
+    ends_a = np.concatenate([h, h + num])
+    ends_b = np.concatenate([t + f, t + num - f])
+    src = np.concatenate([ends_a, ends_b])
+    dst = np.concatenate([ends_b, ends_a])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(2 * num + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=2 * num), out=indptr[1:])
+    data = np.ones(src.size, dtype=np.float64)
+    return csr_matrix((data, dst[order], indptr), shape=(2 * num, 2 * num))
 
 
 def code_distance(code: SubsystemCode, *, exact: bool = False) -> tuple[int, int]:

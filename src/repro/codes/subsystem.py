@@ -16,13 +16,14 @@ measurements (e.g. super-stabilizers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.pauli import PauliOp
-from repro.utils import gf2_in_rowspace, gf2_independent_rows, gf2_rank
+from repro.utils import gf2_independent_rows, gf2_rank, gf2_span_contains
 
 __all__ = ["Check", "SubsystemCode"]
 
@@ -164,20 +165,38 @@ class SubsystemCode:
     # ------------------------------------------------------------------
     # Membership / sanity helpers
     # ------------------------------------------------------------------
+    def parity_bitsets(
+        self, basis: str, index: Mapping, *, include_gauges: bool = False
+    ) -> list[int]:
+        """:meth:`parity_matrix` rows as int bitsets: bit ``index[q]`` is qubit ``q``.
+
+        Qubits missing from ``index`` are dropped, as in the matrix.
+        """
+        ops = self.stabilizer_ops(basis)
+        if include_gauges:
+            ops = ops + self.gauge_ops(basis)
+        rows = []
+        for op in ops:
+            bits = 0
+            for q in op.x_support if basis == "X" else op.z_support:
+                i = index.get(q)
+                if i is not None:
+                    bits |= 1 << i
+            rows.append(bits)
+        return rows
+
     def is_stabilizer(self, op: PauliOp) -> bool:
         """Whether ``op`` lies in the stabilizer group (CSS, phase-free)."""
         if not (op.is_x_type() or op.is_z_type()):
             return False
         basis = "X" if op.is_x_type() else "Z"
-        order = self.qubit_order()
-        index = {q: i for i, q in enumerate(order)}
-        vec = np.zeros(len(order), dtype=np.uint8)
-        support = op.x_support if basis == "X" else op.z_support
-        for q in support:
+        index = {q: i for i, q in enumerate(self.data_qubits)}
+        vec = 0
+        for q in op.x_support if basis == "X" else op.z_support:
             if q not in index:
                 return False
-            vec[index[q]] = 1
-        return gf2_in_rowspace(self.parity_matrix(basis), vec)
+            vec |= 1 << index[q]
+        return gf2_span_contains(self.parity_bitsets(basis, index), [vec])[0]
 
     def fresh_name(self, prefix: str) -> str:
         """A name unused by any current check or stabilizer."""
@@ -191,7 +210,10 @@ class SubsystemCode:
         """Independent deep-enough copy (Pauli ops are immutable)."""
         clone = SubsystemCode(
             data_qubits=set(self.data_qubits),
-            stabilizers=[replace(s) for s in self.stabilizers.values()],
+            stabilizers=[
+                StabilizerGenerator(s.pauli, s.basis, s.name, s.measured_via)
+                for s in self.stabilizers.values()
+            ],
             checks=list(self.checks.values()),
             logical_x=self.logical_x,
             logical_z=self.logical_z,

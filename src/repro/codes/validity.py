@@ -10,13 +10,19 @@ Implements the consistency conditions from the paper's appendix:
   generator's syndrome is recoverable from products of measured operators.
 
 These checks run after every deformation instruction in the test suite,
-turning the paper's proofs into executable invariants.
+turning the paper's proofs into executable invariants.  Commutation is
+tested for all pairs at once (:func:`repro.pauli.symplectic_matrix`) and
+membership in an operator group with one bitset elimination per basis; errors
+still name the first offending pair or qubit a pairwise scan would meet.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codes.subsystem import SubsystemCode
-from repro.pauli import PauliOp, commutes
+from repro.pauli import symplectic_matrix
+from repro.utils import gf2_span_contains
 
 __all__ = [
     "ValidityError",
@@ -39,19 +45,25 @@ def check_generator_representation(code: SubsystemCode) -> None:
     logical operators (the logicals are not secretly stabilizers).
     """
     stabs = list(code.stabilizers.values())
-    for i, gen_a in enumerate(stabs):
-        for gen_b in stabs[i + 1 :]:
-            if not commutes(gen_a.pauli, gen_b.pauli):
-                raise ValidityError(
-                    f"stabilizers {gen_a.name} and {gen_b.name} anticommute"
-                )
-    if commutes(code.logical_x, code.logical_z):
+    n = len(stabs)
+    ops = [gen.pauli for gen in stabs] + [code.logical_x, code.logical_z]
+    anti = symplectic_matrix(ops, ops)
+    # Raise on the first offending pair in the order a pairwise scan meets it.
+    pairs = np.argwhere(np.triu(anti[:n, :n], 1))
+    if pairs.size:
+        i, j = pairs[0]
+        raise ValidityError(
+            f"stabilizers {stabs[i].name} and {stabs[j].name} anticommute"
+        )
+    if not anti[n, n + 1]:
         raise ValidityError("logical X and Z commute; the logical qubit is lost")
-    for gen in stabs:
-        if not commutes(gen.pauli, code.logical_x):
-            raise ValidityError(f"stabilizer {gen.name} anticommutes with logical X")
-        if not commutes(gen.pauli, code.logical_z):
-            raise ValidityError(f"stabilizer {gen.name} anticommutes with logical Z")
+    bad = np.flatnonzero(anti[:n, n:].any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        which = "X" if anti[i, n] else "Z"
+        raise ValidityError(
+            f"stabilizer {stabs[i].name} anticommutes with logical {which}"
+        )
     for logical, basis in ((code.logical_x, "X"), (code.logical_z, "Z")):
         if code.is_stabilizer(logical):
             raise ValidityError(f"logical {basis} lies in the stabilizer group")
@@ -81,21 +93,26 @@ def check_measurement_set(code: SubsystemCode) -> None:
        generator (condition (3): syndromes are recoverable).
     """
     for name, gen in code.stabilizers.items():
-        product = PauliOp.identity()
+        xs: frozenset = frozenset()
+        zs: frozenset = frozenset()
         for check_name in gen.measured_via:
             if check_name not in code.checks:
                 raise ValidityError(
                     f"stabilizer {name} references missing check {check_name}"
                 )
-            product = product * code.checks[check_name].pauli
-        if product != gen.pauli:
+            pauli = code.checks[check_name].pauli
+            xs ^= pauli.x_support
+            zs ^= pauli.z_support
+        if xs != gen.pauli.x_support or zs != gen.pauli.z_support:
             raise ValidityError(
                 f"measured_via product for {name} does not reproduce the generator"
             )
-    for name, check in code.checks.items():
-        if not commutes(check.pauli, code.logical_x) or not commutes(
-            check.pauli, code.logical_z
-        ):
+    checks = list(code.checks.items())
+    disturbs = symplectic_matrix(
+        [check.pauli for _, check in checks], [code.logical_x, code.logical_z]
+    ).any(axis=1)
+    for (name, check), anticommutes in zip(checks, disturbs, strict=True):
+        if anticommutes:
             raise ValidityError(
                 f"measured operator {name} anticommutes with a logical operator; "
                 "measuring it would disturb the encoded state"
@@ -116,22 +133,19 @@ def check_no_bare_logicals(code: SubsystemCode) -> None:
     or pure-gauge error).  Otherwise the deformation silently created a
     weight-1 logical.  Symmetric for the X side.
     """
-    import numpy as np
-
-    from repro.utils import gf2_in_rowspace
-
-    order = code.qubit_order()
-    index = {q: i for i, q in enumerate(order)}
+    index = {q: i for i, q in enumerate(code.data_qubits)}
     for detect_basis, error_basis in (("X", "Z"), ("Z", "X")):
         covered = set()
         for gen in code.stabilizers.values():
             if gen.basis == detect_basis:
                 covered |= gen.pauli.support
-        group = code.parity_matrix(error_basis, include_gauges=True)
-        for q in code.data_qubits - covered:
-            vec = np.zeros(len(order), dtype=np.uint8)
-            vec[index[q]] = 1
-            if not gf2_in_rowspace(group, vec):
+        bare = list(code.data_qubits - covered)
+        if not bare:
+            continue
+        group = code.parity_bitsets(error_basis, index, include_gauges=True)
+        inside = gf2_span_contains(group, [1 << index[q] for q in bare])
+        for q, trivial in zip(bare, inside, strict=True):
+            if not trivial:
                 raise ValidityError(
                     f"qubit {q} has no {detect_basis}-stabilizer coverage and "
                     f"{error_basis}_{q} is not gauge/stabilizer: weight-1 "

@@ -165,7 +165,10 @@ class Decoder:
         if cache is not None:
             cached = cache.get(defects)
             if cached is not None:
-                cache.move_to_end(defects)
+                try:
+                    cache.move_to_end(defects)
+                except KeyError:
+                    pass  # evicted by another thread since ``get``
                 self.cache_hits += 1
                 return cached
             self.cache_misses += 1
@@ -272,7 +275,10 @@ class Decoder:
                 continue
             cached = cache.get(defects)
             if cached is not None:
-                cache.move_to_end(defects)
+                try:
+                    cache.move_to_end(defects)
+                except KeyError:
+                    pass  # evicted by another thread since ``get``
                 self.cache_hits += 1
                 out[i] = cached
             else:

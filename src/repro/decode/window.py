@@ -395,7 +395,10 @@ class SlidingWindowDecoder:
         memo = self._memos.setdefault(kind, OrderedDict())
         hit = memo.get(defects)
         if hit is not None:
-            memo.move_to_end(defects)
+            try:
+                memo.move_to_end(defects)
+            except KeyError:
+                pass  # evicted by another session's thread since ``get``
             return hit
         parity = 0
         deferred: list[int] = []

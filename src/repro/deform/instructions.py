@@ -29,7 +29,7 @@ from dataclasses import replace
 from repro.codes import Check
 from repro.codes.subsystem import SubsystemCode
 from repro.deform.gauge import reroute_logical_off, s2s_merge, stabilizers_containing
-from repro.pauli import PauliOp, commutes
+from repro.pauli import PauliOp, symplectic_matrix
 from repro.surface.lattice import Coord, is_data_coord, is_face_coord
 from repro.surface.patch import SurfacePatch, rotated_rect_patch
 
@@ -78,9 +78,13 @@ def _purge_anticommuting_checks(code: SubsystemCode) -> None:
     these checks deliberately.  It is an internal error for a purged check
     to still appear in a stabilizer decomposition.
     """
-    stab_paulis = [g.pauli for g in code.stabilizers.values()]
-    for name, check in list(code.checks.items()):
-        if all(commutes(check.pauli, s) for s in stab_paulis):
+    checks = list(code.checks.items())
+    anticommutes = symplectic_matrix(
+        [check.pauli for _, check in checks],
+        [gen.pauli for gen in code.stabilizers.values()],
+    ).any(axis=1)
+    for (name, _), purge in zip(checks, anticommutes, strict=True):
+        if not purge:
             continue
         for gen in code.stabilizers.values():
             if name in gen.measured_via:

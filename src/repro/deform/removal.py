@@ -119,7 +119,9 @@ def _score_and_adopt(
 
     Candidates failing the code validity audit (e.g. a boundary fix that
     would orphan a qubit) are discarded; earlier candidates win ties, so
-    list the preferred instruction first.
+    list the preferred instruction first.  The audit runs only on a
+    candidate whose distance would beat the best so far: one that
+    cannot win is never adopted, valid or not.
     """
     from repro.codes.validity import ValidityError, check_code
 
@@ -127,14 +129,18 @@ def _score_and_adopt(
     best_key = None
     for priority, (action, trial) in enumerate(candidates):
         try:
-            check_code(trial.code)
             dx = graph_distance(trial.code, "X")
             dz = graph_distance(trial.code, "Z")
-        except (ValueError, RuntimeError, ValidityError):
+        except ValueError:
             continue
         key = (min(dx, dz), dx + dz, -priority)
-        if best_key is None or key > best_key:
-            best, best_key = (action, trial), key
+        if best_key is not None and key <= best_key:
+            continue
+        try:
+            check_code(trial.code)
+        except (ValueError, RuntimeError, ValidityError):
+            continue
+        best, best_key = (action, trial), key
     if best is None:
         raise ValueError(f"defect {defect}: no consistent removal exists")
     _adopt(patch, best[1])

@@ -8,12 +8,15 @@ identified by arbitrary hashable labels — the surface-code layer uses
 remove qubits without re-indexing a dense array.
 
 The dense binary-symplectic form needed by :mod:`repro.utils.gf2` is
-produced on demand via :meth:`PauliOp.to_symplectic`.
+produced on demand via :meth:`PauliOp.to_symplectic`;
+:func:`symplectic_matrix` computes every pairwise commutation relation
+of two operator lists at once, on bit-packed words.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -22,7 +25,7 @@ Qubit = Hashable
 
 _VALID = {"I", "X", "Y", "Z"}
 
-__all__ = ["PauliOp", "commutes", "symplectic_product"]
+__all__ = ["PauliOp", "commutes", "symplectic_matrix", "symplectic_product"]
 
 
 class PauliOp:
@@ -33,7 +36,7 @@ class PauliOp:
     can live in stabilizer/gauge sets.
     """
 
-    __slots__ = ("_xs", "_zs", "_hash")
+    __slots__ = ("_xs", "_zs", "_hash", "_support")
 
     def __init__(
         self,
@@ -43,6 +46,7 @@ class PauliOp:
         self._xs = frozenset(x_support)
         self._zs = frozenset(z_support)
         self._hash = hash((self._xs, self._zs))
+        self._support: frozenset[Qubit] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -91,8 +95,10 @@ class PauliOp:
 
     @property
     def support(self) -> frozenset[Qubit]:
-        """All qubits acted on non-trivially."""
-        return self._xs | self._zs
+        """All qubits acted on non-trivially (computed once, then kept)."""
+        if self._support is None:
+            self._support = self._xs | self._zs
+        return self._support
 
     @property
     def weight(self) -> int:
@@ -192,3 +198,43 @@ def symplectic_product(a: PauliOp, b: PauliOp) -> int:
 def commutes(a: PauliOp, b: PauliOp) -> bool:
     """Convenience wrapper for ``a.commutes_with(b)``."""
     return symplectic_product(a, b) == 0
+
+
+def symplectic_matrix(rows: Sequence[PauliOp], cols: Sequence[PauliOp]) -> np.ndarray:
+    """All pairwise symplectic products: ``M[i, j] = symplectic_product(rows[i], cols[j])``.
+
+    The X and Z supports of both lists are bit-packed into ``uint64``
+    words over the union of their supports (so qubits outside any code
+    count like any other).  A pair anticommutes iff
+    ``(x_i & z_j) ^ (z_i & x_j)`` has odd popcount over all words; that
+    parity is computed for every pair at once.  Returns a ``uint8``
+    matrix of shape ``(len(rows), len(cols))``.
+    """
+    r, c = len(rows), len(cols)
+    # Stacked layout: [X of rows; Z of rows; Z of cols; X of cols].
+    layout = (
+        [op._xs for op in rows]
+        + [op._zs for op in rows]
+        + [op._zs for op in cols]
+        + [op._xs for op in cols]
+    )
+    qubits = frozenset().union(*layout)
+    position = dict(zip(qubits, range(len(qubits)), strict=True))
+    lengths = np.fromiter(map(len, layout), dtype=np.intp, count=len(layout))
+    columns = np.fromiter(
+        map(position.__getitem__, chain.from_iterable(layout)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    words = -(-len(qubits) // 64)
+    bits = np.zeros((len(layout), 64 * words), dtype=np.uint8)
+    bits[np.repeat(np.arange(len(layout)), lengths), columns] = 1
+    packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    x_rows, z_rows = packed[:r], packed[r : 2 * r]
+    z_cols, x_cols = packed[2 * r : 2 * r + c], packed[2 * r + c :]
+    anti = np.zeros((r, c), dtype=np.uint64)
+    for w in range(words):
+        anti ^= (x_rows[:, w, None] & z_cols[None, :, w]) ^ (
+            z_rows[:, w, None] & x_cols[None, :, w]
+        )
+    return (np.bitwise_count(anti) & 1).astype(np.uint8)

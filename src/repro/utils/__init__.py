@@ -6,6 +6,7 @@ from repro.utils.gf2 import (
     gf2_nullspace,
     gf2_solve,
     gf2_in_rowspace,
+    gf2_span_contains,
     gf2_row_reduce,
     gf2_independent_rows,
     gf2_pack,
@@ -18,6 +19,7 @@ __all__ = [
     "gf2_nullspace",
     "gf2_solve",
     "gf2_in_rowspace",
+    "gf2_span_contains",
     "gf2_row_reduce",
     "gf2_independent_rows",
     "gf2_pack",

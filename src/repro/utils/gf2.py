@@ -18,6 +18,7 @@ that compare both backends on random matrices.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "gf2_nullspace",
     "gf2_solve",
     "gf2_in_rowspace",
+    "gf2_span_contains",
     "gf2_row_reduce",
     "gf2_independent_rows",
     "gf2_pack",
@@ -336,6 +338,34 @@ def gf2_in_rowspace(matrix: np.ndarray, vector: np.ndarray) -> bool:
     if a.size == 0:
         return not np.asarray(vector, dtype=np.uint8).any()
     return gf2_solve(a, vector) is not None
+
+
+def gf2_span_contains(rows: Iterable[int], vectors: Iterable[int]) -> list[bool]:
+    """Whether each vector lies in the GF(2) span of ``rows``.
+
+    Rows and vectors are Python-int bitsets (bit ``i`` is column ``i``).
+    One elimination serves every vector: the rows are reduced into a
+    basis keyed by leading bit, and a vector is in the span iff reducing
+    it by that basis leaves zero.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+    contained = []
+    for vector in vectors:
+        while vector:
+            pivot = basis.get(vector.bit_length() - 1)
+            if pivot is None:
+                break
+            vector ^= pivot
+        contained.append(not vector)
+    return contained
 
 
 def gf2_independent_rows(matrix: np.ndarray) -> list[int]:

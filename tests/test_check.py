@@ -79,6 +79,13 @@ class TestSeededFixtures:
         # rule regression can't hide behind another rule's findings.
         assert set(by_rule) == {code}, findings
 
+    @pytest.mark.parametrize(
+        "name,count", [("rep001_fail_codes.py", 1), ("rep001_fail_deform.py", 2)]
+    )
+    def test_rep001_covers_codes_and_deform(self, name, count):
+        findings = fixture_findings(name)
+        assert [f.rule for f in findings] == ["REP001"] * count, findings
+
     @pytest.mark.parametrize("code", RULE_CODES)
     def test_pass_fixture_is_clean(self, code):
         name = f"{code.lower()}_pass.py"
@@ -120,6 +127,8 @@ class TestSuppressions:
     def test_rules_scope_by_path(self):
         source = "import networkx as nx\n"
         assert check_source(source, "src/repro/decode/x.py", ALL_RULES) != []
+        assert check_source(source, "src/repro/codes/x.py", ALL_RULES) != []
+        assert check_source(source, "src/repro/deform/x.py", ALL_RULES) != []
         assert check_source(source, "src/repro/layout/x.py", ALL_RULES) == []
         assert check_source(source, "tests/test_x.py", ALL_RULES) == []
 

@@ -1,5 +1,10 @@
 """Tests for the MWPM decoder and decoding graph."""
 
+import itertools
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -108,3 +113,77 @@ class TestEndToEndDecoding:
         dec = MatchingDecoder(dem)
         det, obs = sample_detectors(c, 2000, seed=6)
         assert dec.logical_error_rate(det, obs) < 0.05
+
+
+class EvictOnGet(OrderedDict):
+    """A memo whose ``get`` hands out the value and then loses the key.
+
+    That is what a shared memo looks like when another thread's
+    ``popitem`` lands between this thread's ``get`` and ``move_to_end``.
+    """
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.pop(key, None)
+        return value
+
+
+class TestMemoEvictionRace:
+    """A hit whose key is evicted before ``move_to_end`` still answers."""
+
+    def test_single_syndrome_hit(self):
+        decoder = MatchingDecoder(toy_dem())
+        sample = np.array([1, 0, 0], dtype=np.uint8)
+        expected = decoder.decode(sample)
+        decoder._cache = EvictOnGet({(0,): expected})
+        hits = decoder.cache_hits
+        assert decoder.decode(sample) == expected
+        assert decoder.cache_hits == hits + 1
+
+    def test_batch_hit(self):
+        decoder = MatchingDecoder(toy_dem())
+        rows = np.array([[1, 0, 0], [0, 1, 1]], dtype=np.uint8)
+        expected = decoder.decode_batch(rows)
+        decoder._cache = EvictOnGet(
+            {(0,): int(expected[0]), (1, 2): int(expected[1])}
+        )
+        hits = decoder.cache_hits
+        assert np.array_equal(decoder.decode_batch(rows), expected)
+        assert decoder.cache_hits == hits + 2
+
+    def test_threads_share_a_tiny_cache(self):
+        """Four threads on one decoder with a two-entry LRU: every hit
+        races an eviction, and every answer must still be right."""
+        samples = [
+            np.array(bits, dtype=np.uint8)
+            for bits in itertools.product([0, 1], repeat=3)
+        ]
+        reference = MatchingDecoder(toy_dem(), cache_size=0)
+        expected = [reference.decode(s) for s in samples]
+        decoder = MatchingDecoder(toy_dem(), cache_size=2)
+        errors: list = []
+
+        def work(stride: int) -> None:
+            try:
+                for i in range(3000):
+                    j = (i * stride) % len(samples)
+                    if decoder.decode(samples[j]) != expected[j]:
+                        errors.append(("wrong", j))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(k,)) for k in (1, 2, 3, 5)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+

@@ -13,6 +13,8 @@ through.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,21 @@ class TestValidation:
             rotated_surface_code(3).code, "Z", NoiseModel.uniform(NOISE_P)
         ).open_stream(1)
         assert isinstance(stream, WindowStream)
+
+
+class TestMemoEvictionRace:
+    def test_hit_survives_eviction_before_move_to_end(self):
+        """Another session's ``popitem`` between ``get`` and
+        ``move_to_end`` must not turn a memo hit into ``KeyError``."""
+
+        class EvictOnGet(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.pop(key, None)
+                return value
+
+        code, noise, _ = _case(3, "Z", 12)
+        win = SlidingWindowDecoder(code, "Z", noise)
+        outcome = (1, (4,))
+        win._memos["bulk"] = EvictOnGet({(3, 9): outcome})
+        assert win._process("bulk", (3, 9), commit_line=8, floor=0) == outcome

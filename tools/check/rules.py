@@ -26,44 +26,42 @@ def _is_call_to(node: ast.AST, names: frozenset[str]) -> bool:
     )
 
 
-class NoNetworkxInDecode(Rule):
-    """REP001 — the decode hot path owns its graph code.
+class NoNetworkxInHotPaths(Rule):
+    """REP001 — the hot paths own their graph code.
 
-    PR 3 removed ``networkx`` from ``src/repro/decode/`` (the owned
-    blossom engine is ~4x faster and deterministically tie-broken); a
-    reintroduced import would silently re-add per-call generality cost
-    and nondeterministic iteration order to the hottest loop in the
-    repo.  ``layout/`` and ``codes/`` may still use networkx.
+    The decode engines dropped ``networkx`` first (the owned blossom
+    engine is ~4x faster and deterministically tie-broken).  The
+    deformation unit followed: ``codes/`` measures distance with
+    one ``scipy.sparse.csgraph`` search over CSR arrays instead of one
+    networkx Dijkstra per vertex, and ``deform/`` calls it once per
+    scored candidate.  A reintroduced import would silently re-add
+    per-call generality cost and nondeterministic iteration order to
+    those loops.  The networkx formulations live on as test oracles
+    under ``tests/``; ``layout/`` may still use networkx.
     """
 
     code = "REP001"
-    summary = "no networkx import under src/repro/decode/"
+    summary = "no networkx import under src/repro/{decode,codes,deform}/"
+    SCOPE = ("src/repro/decode/", "src/repro/codes/", "src/repro/deform/")
+    MESSAGE = (
+        "networkx import in a hot path (decode/, codes/, deform/); the "
+        "owned engines (decode/blossom.py, codes/distance.py) replace it "
+        "— keep oracle comparisons in tests/"
+    )
 
     def applies(self, relpath: str) -> bool:
-        return relpath.startswith("src/repro/decode/")
+        return relpath.startswith(self.SCOPE)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".", 1)[0] == "networkx":
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "networkx import in the decode hot path; the owned "
-                            "engines (decode/blossom.py, decode/graph.py) replace "
-                            "it — keep oracle comparisons in tests/",
-                        )
+                        yield self.finding(ctx, node, self.MESSAGE)
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 if node.level == 0 and module.split(".", 1)[0] == "networkx":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "networkx import in the decode hot path; the owned "
-                        "engines (decode/blossom.py, decode/graph.py) replace "
-                        "it — keep oracle comparisons in tests/",
-                    )
+                    yield self.finding(ctx, node, self.MESSAGE)
 
 
 class DurableWritesThroughStore(Rule):
@@ -504,7 +502,7 @@ class CanonicalWorkerSpelling(Rule):
 
 
 ALL_RULES: tuple[Rule, ...] = (
-    NoNetworkxInDecode(),
+    NoNetworkxInHotPaths(),
     DurableWritesThroughStore(),
     NoGlobalStateRng(),
     StableOrderInDecode(),
